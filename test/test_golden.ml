@@ -5,6 +5,13 @@
    here as a one-ULP difference long before it is visible in the
    rendered tables (which round to one decimal).
 
+   fig_faults and fig_recovery pin the faulty query walk the same way:
+   timeouts, retries, stale-row fallback, lazy anti-entropy, budget
+   stops and crash recovery all feed their recall and
+   messages-per-result cells, so any change to the order of fault-plan
+   draws or walk decisions shows up here.  They were captured before
+   the fault plan was folded into the query step machine.
+
    The expected values are IEEE-754 bit patterns (Int64.bits_of_float)
    captured at nodes=200, trials=3, seed=42 on the pre-refactor tree.
    Regenerate by running the suite with RI_GOLDEN_PRINT=1 and pasting
@@ -53,6 +60,121 @@ let expected_fig18 =
     ("r2c0", 0x4019555555555555L);
     ("r2c1", 0x401aaaaaaaaaaaabL);
     ("r2c2", 0x401c000000000000L);
+  ]
+
+let expected_faults =
+  [
+    ("r0c0", 0x4040e22222222222L);
+    ("r0c1", 0x4045ed097b425ed1L);
+    ("r0c2", 0x4046a7b425ed097bL);
+    ("r0c3", 0x405ba38e38e38e39L);
+    ("r0c4", 0x405a1ac056b015acL);
+    ("r1c0", 0x3ff0000000000000L);
+    ("r1c1", 0x3feccccccccccccdL);
+    ("r1c2", 0x3febbbbbbbbbbbbcL);
+    ("r1c3", 0x3fe3333333333334L);
+    ("r1c4", 0x3fe1111111111111L);
+    ("r2c0", 0x4040e22222222222L);
+    ("r2c1", 0x404738e38e38e38eL);
+    ("r2c2", 0x40490425ed097b43L);
+    ("r2c3", 0x405cd097b425ed0aL);
+    ("r2c4", 0x405ade79e79e79e8L);
+    ("r3c0", 0x3ff0000000000000L);
+    ("r3c1", 0x3feccccccccccccdL);
+    ("r3c2", 0x3febbbbbbbbbbbbcL);
+    ("r3c3", 0x3fe3333333333334L);
+    ("r3c4", 0x3fe1111111111111L);
+    ("r4c0", 0x403f4cccccccccccL);
+    ("r4c1", 0x4045ed097b425ed1L);
+    ("r4c2", 0x4046a7b425ed097bL);
+    ("r4c3", 0x405bce38e38e38e4L);
+    ("r4c4", 0x4053565965965966L);
+    ("r5c0", 0x3ff0000000000000L);
+    ("r5c1", 0x3feccccccccccccdL);
+    ("r5c2", 0x3febbbbbbbbbbbbcL);
+    ("r5c3", 0x3fe3333333333334L);
+    ("r5c4", 0x3fe1111111111111L);
+    ("r6c0", 0x403f4cccccccccccL);
+    ("r6c1", 0x4047684bda12f685L);
+    ("r6c2", 0x405029c71c71c71cL);
+    ("r6c3", 0x405d12f684bda12fL);
+    ("r6c4", 0x405b1c1b1706c5c2L);
+    ("r7c0", 0x3ff0000000000000L);
+    ("r7c1", 0x3feccccccccccccdL);
+    ("r7c2", 0x3febbbbbbbbbbbbcL);
+    ("r7c3", 0x3fe3333333333334L);
+    ("r7c4", 0x3fe1111111111111L);
+    ("r8c0", 0x4040f33333333333L);
+    ("r8c1", 0x404baaaaaaaaaaabL);
+    ("r8c2", 0x4051f5a12f684bdaL);
+    ("r8c3", 0x405efda12f684bdaL);
+    ("r8c4", 0x405c52f684bda12fL);
+    ("r9c0", 0x3ff0000000000000L);
+    ("r9c1", 0x3feccccccccccccdL);
+    ("r9c2", 0x3febbbbbbbbbbbbcL);
+    ("r9c3", 0x3fe3333333333334L);
+    ("r9c4", 0x3fe1111111111111L);
+    ("r10c0", 0x4040f33333333333L);
+    ("r10c1", 0x404baaaaaaaaaaabL);
+    ("r10c2", 0x4051f5a12f684bdaL);
+    ("r10c3", 0x405efda12f684bdaL);
+    ("r10c4", 0x405c52f684bda12fL);
+    ("r11c0", 0x3ff0000000000000L);
+    ("r11c1", 0x3feccccccccccccdL);
+    ("r11c2", 0x3febbbbbbbbbbbbcL);
+    ("r11c3", 0x3fe3333333333334L);
+    ("r11c4", 0x3fe1111111111111L);
+    ("r12c0", 0x4042488888888888L);
+    ("r12c1", 0x4045ed097b425ed1L);
+    ("r12c2", 0x4046a7b425ed097bL);
+    ("r12c3", 0x4052ce38e38e38e3L);
+    ("r12c4", 0x4051ccde233788ceL);
+    ("r13c0", 0x3ff0000000000000L);
+    ("r13c1", 0x3feccccccccccccdL);
+    ("r13c2", 0x3febbbbbbbbbbbbcL);
+    ("r13c3", 0x3fe3333333333334L);
+    ("r13c4", 0x3fe1111111111111L);
+    ("r14c0", 0x4034d55555555556L);
+    ("r14c1", 0x403625ed097b425fL);
+    ("r14c2", 0x4036c00000000000L);
+    ("r14c3", 0x404267b425ed097bL);
+    ("r14c4", 0x4040c7c9d1f2747dL);
+    ("r15c0", 0x3ff0000000000000L);
+    ("r15c1", 0x3feccccccccccccdL);
+    ("r15c2", 0x3febbbbbbbbbbbbcL);
+    ("r15c3", 0x3fe3333333333334L);
+    ("r15c4", 0x3fe1111111111111L);
+  ]
+
+let expected_recovery =
+  [
+    ("r0c0", 0x3ff0000000000000L);
+    ("r0c1", 0x3ff0000000000000L);
+    ("r0c2", 0x3ff0000000000000L);
+    ("r1c0", 0x3fe2222222222223L);
+    ("r1c1", 0x3fdbbbbbbbbbbbbcL);
+    ("r1c2", 0x3fcddddddddddddfL);
+    ("r2c0", 0x4002aaaaaaaaaaabL);
+    ("r2c1", 0x4008000000000000L);
+    ("r2c2", 0x4008000000000000L);
+    ("r3c0", 0x3ff0000000000000L);
+    ("r3c1", 0x3ff0000000000000L);
+    ("r3c2", 0x3ff0000000000000L);
+    ("r4c0", 0x3fe2222222222223L);
+    ("r4c1", 0x3fdbbbbbbbbbbbbcL);
+    ("r4c2", 0x3fcddddddddddddfL);
+    ("r5c0", 0x4002aaaaaaaaaaabL);
+    ("r5c1", 0x400d555555555555L);
+    ("r5c2", 0x400aaaaaaaaaaaabL);
+    ("r6c0", 0x3ff0000000000000L);
+    ("r6c1", 0x3ff0000000000000L);
+    ("r6c2", 0x3ff0000000000000L);
+    ("r7c0", 0x3fe2222222222223L);
+    ("r7c1", 0x3fdbbbbbbbbbbbbcL);
+    ("r7c2", 0x3fcddddddddddddfL);
+    ("r8c0", 0x4002aaaaaaaaaaabL);
+    ("r8c1", 0x4002aaaaaaaaaaabL);
+    ("r8c2", 0x4002aaaaaaaaaaabL);
   ]
 
 let check_report id run expected () =
@@ -133,6 +255,11 @@ let suite =
         (check_report "fig13" Ri_experiments.Fig13_schemes.run expected_fig13);
       Alcotest.test_case "fig18 bit-identical at 200 nodes" `Slow
         (check_report "fig18" Ri_experiments.Fig18_updates.run expected_fig18);
+      Alcotest.test_case "fig_faults bit-identical at 200 nodes" `Slow
+        (check_report "faults" Ri_experiments.Fig_faults.run expected_faults);
+      Alcotest.test_case "fig_recovery bit-identical at 200 nodes" `Slow
+        (check_report "recovery" Ri_experiments.Fig_recovery.run
+           expected_recovery);
       Alcotest.test_case "snapshot round trip (converged)" `Quick
         (snapshot_round_trip ~purpose:Trial.For_update ~rooted:false);
       Alcotest.test_case "snapshot round trip (rooted)" `Quick
