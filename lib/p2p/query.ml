@@ -61,34 +61,49 @@ let s_hops =
   Ri_obs.Sketch.series ~help:"Forward hops per query (quantile sketch)."
     "ri_query_hops"
 
-let record_outcome kind o =
+(* One query's aggregate cost: its mode's counter, the message totals
+   and both sketches. *)
+let publish kind ~satisfied (c : Message.counters) =
   if Ri_obs.Metrics.enabled () then begin
     Ri_obs.Metrics.incr kind;
-    Ri_obs.Metrics.add m_forwards o.counters.Message.query_forwards;
-    Ri_obs.Metrics.add m_returns o.counters.Message.query_returns;
-    Ri_obs.Metrics.add m_results o.counters.Message.result_messages;
-    if o.satisfied then Ri_obs.Metrics.incr m_satisfied;
-    Ri_obs.Sketch.observe s_messages (float_of_int (messages o));
-    Ri_obs.Sketch.observe s_hops (float_of_int o.counters.Message.query_forwards)
-  end;
+    Ri_obs.Metrics.add m_forwards c.query_forwards;
+    Ri_obs.Metrics.add m_returns c.query_returns;
+    Ri_obs.Metrics.add m_results c.result_messages;
+    if satisfied then Ri_obs.Metrics.incr m_satisfied;
+    Ri_obs.Sketch.observe s_messages (float_of_int (Message.query_messages c));
+    Ri_obs.Sketch.observe s_hops (float_of_int c.query_forwards)
+  end
+
+let record_outcome kind o =
+  publish kind ~satisfied:o.satisfied o.counters;
   o
 
 type frame = { node : int; from : int; mutable pending : int list }
 
-(* The fault-free depth-first walk, reformulated as a message-driven
-   state machine: exactly one message is in flight per query — the
-   forward the walk just sent, or the return bouncing it back — so
-   delivering that message yields at most one successor.  [run] drains
-   the machine inline (the zero-latency schedule, reproducing the
-   synchronous walk bit-for-bit: one token means delivery order cannot
-   differ); the event engine instead routes each [send] through mailbox
-   queueing and link latency, interleaving thousands of walks.  Faulty
-   queries keep the synchronous loop in [run_planned] — retries and
-   anti-entropy make their hops multi-message affairs. *)
+(* The depth-first walk, reformulated as a message-driven state machine:
+   exactly one message is in flight per query — the forward the walk
+   just sent, or the return bouncing it back — so delivering that
+   message yields at most one successor.  [run] drains the machine
+   inline (the zero-latency schedule, reproducing the synchronous walk
+   bit-for-bit: one token means delivery order cannot differ); the event
+   engine instead routes each [send] through mailbox queueing and link
+   latency, interleaving thousands of walks.  A fault plan makes a hop a
+   multi-message affair — timeouts, retries, lazy anti-entropy — and all
+   of it happens at the sender before the forward is emitted, so the
+   faulty walk drains the same machine. *)
 module Step = struct
   type kind = Forward | Return
 
   type send = { src : int; dst : int; kind : kind }
+
+  (* What a faulty query carries beyond the fault-free walk. *)
+  type fault_state = {
+    plan : Fault.t;
+    reconciled : (int * int, unit) Hashtbl.t;
+        (* link pairs already reconciled during this query: anti-entropy
+           runs once per link however many times the walk crosses it *)
+    mutable budget_stopped : bool;
+  }
 
   type t = {
     net : Network.t;
@@ -106,6 +121,7 @@ module Step = struct
     sent : (int * int, int) Hashtbl.t;
     max_sends : int;
     ranks : (int, int) Hashtbl.t;
+    fault : fault_state option;
     mutable stack : frame list;
     mutable remaining : int;
     mutable found : int;
@@ -113,6 +129,10 @@ module Step = struct
   }
 
   let sends t u v = Option.value ~default:0 (Hashtbl.find_opt t.sent (u, v))
+
+  (* A forward [x -> y] that can never land: a crash-stopped receiver or
+     an active cut between the two. *)
+  let unreachable p x y = Fault.is_dead p y || not (Fault.same_side p x y)
 
   let process_visit t u =
     if not t.visited.(u) then begin
@@ -129,7 +149,13 @@ module Step = struct
     end
 
   let order_neighbors t u ~from =
-    let is_candidate v = v <> from && sends t u v < t.max_sends in
+    let is_candidate v =
+      v <> from && sends t u v < t.max_sends
+      &&
+      match t.fault with
+      | Some f -> not (Fault.knows_dead f.plan ~at:u ~dead:v)
+      | None -> true
+    in
     match t.forwarding with
     | Random_walk ->
         let nbrs = Network.neighbors t.net u in
@@ -146,39 +172,83 @@ module Step = struct
           nbrs;
         Prng.shuffle_in_place t.rng cands;
         Array.to_list cands
-    | Ri_guided ->
-        Scheme.rank_peers (Network.ri t.net u) ~query:t.projected
-          ~keep:is_candidate
+    | Ri_guided -> (
+        (* Only neighbors the RI knows about are candidates: on a rooted
+           construction that is exactly the downstream neighbors, and on
+           a converged network every link has a row. *)
+        match t.fault with
+        | Some { plan = p; _ } when Fault.fallback p ->
+            (* Graceful degradation: rows with detectable update gaps are
+               not trusted — fresh rows rank by goodness as usual, stale
+               ones follow in random (No-RI) order.  Demotion alone does
+               most of the work: a garbage count can no longer outbid an
+               honest one. *)
+            let fresh v = not (Fault.stale p ~at:u ~peer:v) in
+            let ranked =
+              Scheme.rank_peers (Network.ri t.net u) ~query:t.projected
+                ~keep:(fun v -> is_candidate v && fresh v)
+            in
+            let stale =
+              List.filter
+                (fun v -> is_candidate v && not (fresh v))
+                (List.sort compare (Scheme.peers (Network.ri t.net u)))
+            in
+            if stale = [] then ranked
+            else begin
+              let arr = Array.of_list stale in
+              Fault.shuffle p arr;
+              Fault.note_fallbacks p (Array.length arr);
+              ranked @ Array.to_list arr
+            end
+        | _ ->
+            Scheme.rank_peers (Network.ri t.net u) ~query:t.projected
+              ~keep:is_candidate)
 
-  (* Fault-free oracle: matching documents reachable through candidate
-     [v] with the deciding node [u] removed. *)
+  let blocked t x y =
+    match t.fault with Some f -> unreachable f.plan x y | None -> false
+
+  (* Oracle: matching documents actually reachable through candidate [v]
+     when deciding at [u] — BFS with [u] removed (the query would arrive
+     via [u], so paths back through it are not [v]'s to claim) and, under
+     a fault plan, crash-stopped nodes and cut links impassable. *)
   let truth_of t u v =
-    let n = Network.size t.net in
-    let seen = Bytes.make n '\000' in
-    Bytes.set seen u '\001';
-    Bytes.set seen v '\001';
-    let q = Queue.create () in
-    Queue.add v q;
-    let total = ref 0 in
-    while not (Queue.is_empty q) do
-      let x = Queue.pop q in
-      total := !total + Network.count_matching t.net x t.topics;
-      Array.iter
-        (fun y ->
-          if Bytes.get seen y = '\000' then begin
-            Bytes.set seen y '\001';
-            Queue.add y q
-          end)
-        (Network.neighbors t.net x)
-    done;
-    !total
+    if blocked t u v then 0
+    else begin
+      let seen = Bytes.make (Network.size t.net) '\000' in
+      Bytes.set seen u '\001';
+      Bytes.set seen v '\001';
+      let q = Queue.create () in
+      Queue.add v q;
+      let total = ref 0 in
+      while not (Queue.is_empty q) do
+        let x = Queue.pop q in
+        total := !total + Network.count_matching t.net x t.topics;
+        Array.iter
+          (fun y ->
+            if Bytes.get seen y = '\000' then begin
+              Bytes.set seen y '\001';
+              if not (blocked t x y) then Queue.add y q
+            end)
+          (Network.neighbors t.net x)
+      done;
+      !total
+    end
 
+  (* Provenance capture.  Everything here runs only when a Decision sink
+     is recording — in particular the per-candidate oracle BFS, which
+     costs O(edges) per decision and must never touch the measured query
+     path. *)
   let emit_decide t u ~from order =
     let ri_goodness v =
       match t.forwarding with
       | Ri_guided ->
           Scheme.goodness (Network.ri t.net u) ~peer:v ~query:t.projected
       | Random_walk -> 0.
+    in
+    let stale_of v =
+      match t.fault with
+      | Some f -> Fault.stale f.plan ~at:u ~peer:v
+      | None -> false
     in
     let wave_of v =
       if Network.has_ri t.net then
@@ -192,7 +262,7 @@ module Step = struct
             Ri_obs.Decision.peer = v;
             goodness = ri_goodness v;
             truth = truth_of t u v;
-            stale = false;
+            stale = stale_of v;
             wave = wave_of v;
           })
         order
@@ -211,6 +281,12 @@ module Step = struct
           in
           (bp, br, bt - first.Ri_obs.Decision.truth)
     in
+    let stale_demoted =
+      match t.fault with
+      | Some f when Fault.fallback f.plan ->
+          List.length (List.filter (fun c -> c.Ri_obs.Decision.stale) cands)
+      | _ -> 0
+    in
     Ri_obs.Decision.emit t.decide
       (Decide
          {
@@ -221,23 +297,88 @@ module Step = struct
            oracle_best;
            oracle_rank;
            regret;
-           stale_demoted = 0;
+           stale_demoted;
          })
 
+  (* Every frame opens through here so each decision point is recorded
+     exactly once, with the candidate list in true forwarding order. *)
   let ordered t u ~from =
     let order = order_neighbors t u ~from in
     if t.live then emit_decide t u ~from order;
     order
 
+  (* Follow ranks (which candidate in forwarding order a frame tried)
+     live in a side table touched only when recording, so the frame
+     record — one allocation per visited node — stays at its
+     provenance-free size. *)
   let next_rank t u =
     let r = try Hashtbl.find t.ranks u with Not_found -> 0 in
     Hashtbl.replace t.ranks u (r + 1);
     r
 
+  (* Send the forward [u -> v]: each attempt is a real message.  Under a
+     fault plan an attempt to a crash-stopped receiver, across a cut or
+     over a flapping link times out and charges backoff; [retries]
+     failures in a row, or the budget running out between attempts, and
+     the sender gives up.  [true] means the forward landed. *)
+  let rec transmit t u v ~attempt =
+    t.counters.Message.query_forwards <- t.counters.Message.query_forwards + 1;
+    t.on_event (Forwarded { sender = u; receiver = v });
+    match t.fault with
+    | None -> true
+    | Some f ->
+        (* A cross-cut forward can never land; like a dead receiver it
+           consumes no flap draw. *)
+        if not (unreachable f.plan u v || Fault.flap f.plan) then true
+        else begin
+          Fault.note_timeout f.plan ~attempt;
+          t.on_event (Timed_out { sender = u; receiver = v; attempt });
+          if t.live then
+            Ri_obs.Decision.emit t.decide
+              (Timeout { node = u; target = v; attempt });
+          if attempt + 1 > Fault.retries f.plan then false
+          else begin
+            Fault.note_retry f.plan;
+            t.counters.Message.query_forwards < Fault.query_budget f.plan
+            && transmit t u v ~attempt:(attempt + 1)
+          end
+        end
+
+  (* First contact after fault knowledge accrued on either side: lazy
+     anti-entropy across this link before the query proceeds. *)
+  let reconcile t u v =
+    match t.fault with
+    | Some f
+      when Network.has_ri t.net
+           && (Fault.dirty f.plan u || Fault.dirty f.plan v)
+           && not (Hashtbl.mem f.reconciled (min u v, max u v)) ->
+        Hashtbl.replace f.reconciled (min u v, max u v) ();
+        Churn.reconcile t.net u v ~plan:f.plan ~counters:t.counters;
+        t.on_event (Reconciled { a = u; b = v })
+    | _ -> ()
+
+  let give_up t u v =
+    match t.fault with
+    | Some f when not (Fault.same_side f.plan u v) ->
+        (* Unreachable across an active cut: the peer is suspected, not
+           buried.  No death certificate — post-heal anti-entropy must
+           find both nodes alive — but the row gets a gap mark so
+           ranking demotes it until the link is reconciled. *)
+        Fault.note_missed f.plan ~at:u ~peer:v;
+        t.on_event (Gave_up { sender = u; receiver = v })
+    | Some f when not (Fault.knows_dead f.plan ~at:u ~dead:v) ->
+        (* Presumed dead (possibly a false positive from flaps): remove
+           the row so the garbage entry stops attracting the walk, and
+           remember the certificate for gossip. *)
+        ignore (Churn.detect_crash t.net u ~dead:v ~plan:f.plan);
+        t.on_event (Gave_up { sender = u; receiver = v })
+    | _ -> ()
+
   (* Produce the walk's next outgoing message, doing the send-side
-     bookkeeping (link counts, counters, events, provenance) exactly
-     where the synchronous loop does it.  [None] means the query is
-     over: satisfied, or the origin's frame is exhausted. *)
+     bookkeeping (link counts, counters, events, provenance, and under a
+     plan the retries and anti-entropy) before the message leaves.
+     [None] means the query is over: satisfied, out of budget, or the
+     origin's frame is exhausted. *)
   let rec advance t =
     if t.remaining <= 0 then None
     else
@@ -258,17 +399,32 @@ module Step = struct
                 Some { src = top.node; dst = top.from; kind = Return }
               end
               else advance t
-          | v :: pending ->
+          | v :: pending -> (
               top.pending <- pending;
-              Hashtbl.replace t.sent (top.node, v) (sends t top.node v + 1);
-              t.counters.Message.query_forwards <-
-                t.counters.Message.query_forwards + 1;
-              t.on_event (Forwarded { sender = top.node; receiver = v });
-              (if t.live then
-                 Ri_obs.Decision.emit t.decide
-                   (Follow
-                      { node = top.node; target = v; rank = next_rank t top.node }));
-              Some { src = top.node; dst = v; kind = Forward })
+              match t.fault with
+              | Some f
+                when t.counters.Message.query_forwards
+                     >= Fault.query_budget f.plan ->
+                  f.budget_stopped <- true;
+                  Fault.note_budget_stop f.plan;
+                  t.stack <- [];
+                  None
+              | _ ->
+                  Hashtbl.replace t.sent (top.node, v) (sends t top.node v + 1);
+                  (* Rank is claimed when forwarding begins, so a forward
+                     abandoned after its retries still consumes its slot. *)
+                  let rank = if t.live then next_rank t top.node else 0 in
+                  if transmit t top.node v ~attempt:0 then begin
+                    reconcile t top.node v;
+                    if t.live then
+                      Ri_obs.Decision.emit t.decide
+                        (Follow { node = top.node; target = v; rank });
+                    Some { src = top.node; dst = v; kind = Forward }
+                  end
+                  else begin
+                    give_up t top.node v;
+                    advance t
+                  end))
 
   let deliver t { src; dst; kind } =
     match kind with
@@ -300,10 +456,14 @@ module Step = struct
   (* [who] labels validation errors, so [run]'s messages are unchanged
      when it delegates here. *)
   let start_for who ?rng ?(on_event = fun (_ : event) -> ())
-      ?(decide = Ri_obs.Decision.null) net ~origin ~query ~forwarding =
+      ?(decide = Ri_obs.Decision.null) ?plan net ~origin ~query ~forwarding =
     let n = Network.size net in
     if origin < 0 || origin >= n then
       invalid_arg (who ^ ": origin out of range");
+    (match plan with
+    | Some p when Fault.is_dead p origin ->
+        invalid_arg (who ^ ": origin is crash-stopped")
+    | _ -> ());
     (match forwarding with
     | Ri_guided ->
         if not (Network.has_ri net) then
@@ -334,11 +494,24 @@ module Step = struct
         counters = Message.create ();
         visited = Array.make n false;
         sent = Hashtbl.create 64;
+        (* Per directed link, how many times this query may cross it.
+           With detect-and-recover a node remembers the query and
+           resumes its neighbor cursor, so each link is used once; with
+           no-op a revisited node keeps no query state and re-descends
+           ("extra messages are generated when we traverse a cycle more
+           than once", Section 8.2) — the second crossing carries the
+           repeat traversal, and the cap keeps the walk finite, standing
+           in for the TTL any deployed system imposes. *)
         max_sends =
           (match Network.cycle_policy net with
           | Network.Detect_recover -> 1
           | Network.No_op -> 2);
         ranks = Hashtbl.create (if live then 32 else 1);
+        fault =
+          Option.map
+            (fun plan ->
+              { plan; reconciled = Hashtbl.create 8; budget_stopped = false })
+            plan;
         stack = [];
         remaining = query.Ri_content.Workload.stop;
         found = 0;
@@ -367,7 +540,10 @@ module Step = struct
     (if t.live then
        let reason =
          if t.found >= t.query.Ri_content.Workload.stop then "satisfied"
-         else "exhausted"
+         else
+           match t.fault with
+           | Some { budget_stopped = true; _ } -> "budget"
+           | _ -> "exhausted"
        in
        Ri_obs.Decision.emit t.decide
          (Stop
@@ -385,421 +561,23 @@ module Step = struct
       (outcome t)
 end
 
-let run_planned ?rng ?(on_event = fun (_ : event) -> ())
-    ?(decide = Ri_obs.Decision.null) ~plan net ~origin ~query ~forwarding =
-  (* The synchronous faulty walk.  [plan] is threaded below as an option
-     so the body stays textually the shared original; fault-free
-     execution never comes through here (see [run]). *)
-  let plan = Some plan in
-  let n = Network.size net in
-  if origin < 0 || origin >= n then invalid_arg "Query.run: origin out of range";
-  (match plan with
-  | Some p when Fault.is_dead p origin ->
-      invalid_arg "Query.run: origin is crash-stopped"
-  | _ -> ());
-  (match forwarding with
-  | Ri_guided ->
-      if not (Network.has_ri net) then
-        invalid_arg "Query.run: Ri_guided needs a network with routing indices"
-  | Random_walk -> ());
-  let rng = match rng with Some r -> r | None -> Network.rng net in
-  let projected = Network.project_query net query.Ri_content.Workload.topics in
-  let topics = query.Ri_content.Workload.topics in
-  let counters = Message.create () in
-  let visited = Array.make n false in
-  (* Per directed link, how many times this query has crossed it.  With
-     detect-and-recover a node remembers the query and resumes its
-     neighbor cursor, so each link is used once; with no-op a revisited
-     node keeps no query state and re-descends ("extra messages are
-     generated when we traverse a cycle more than once", Section 8.2) —
-     the second crossing carries the repeat traversal, and the count cap
-     keeps the walk finite, standing in for the TTL any deployed system
-     imposes. *)
-  let max_sends =
-    match Network.cycle_policy net with
-    | Network.Detect_recover -> 1
-    | Network.No_op -> 2
-  in
-  let sent : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let sends u v = Option.value ~default:0 (Hashtbl.find_opt sent (u, v)) in
-  let remaining = ref query.Ri_content.Workload.stop in
-  let found = ref 0 in
-  let nodes_visited = ref 0 in
-  let process_visit u =
-    if not visited.(u) then begin
-      visited.(u) <- true;
-      incr nodes_visited;
-      let local = Network.count_matching net u topics in
-      if local > 0 then begin
-        counters.result_messages <- counters.result_messages + 1;
-        on_event (Results { at = u; count = local });
-        found := !found + local;
-        remaining := !remaining - local
-      end
-    end
-  in
-  let order_neighbors u ~from =
-    let is_candidate v =
-      v <> from && sends u v < max_sends
-      && match plan with
-         | Some p -> not (Fault.knows_dead p ~at:u ~dead:v)
-         | None -> true
-    in
-    match forwarding with
-    | Random_walk ->
-        let nbrs = Network.neighbors net u in
-        let count = ref 0 in
-        Array.iter (fun v -> if is_candidate v then incr count) nbrs;
-        let cands = Array.make !count 0 in
-        let i = ref 0 in
-        Array.iter
-          (fun v ->
-            if is_candidate v then begin
-              cands.(!i) <- v;
-              incr i
-            end)
-          nbrs;
-        Prng.shuffle_in_place rng cands;
-        Array.to_list cands
-    | Ri_guided -> (
-        (* Only neighbors the RI knows about are candidates: on a rooted
-           construction that is exactly the downstream neighbors, and on
-           a converged network every link has a row. *)
-        match plan with
-        | Some p when Fault.fallback p ->
-            (* Graceful degradation: rows with detectable update gaps are
-               not trusted — fresh rows rank by goodness as usual, stale
-               ones follow in random (No-RI) order.  Demotion alone does
-               most of the work: a garbage count can no longer outbid an
-               honest one. *)
-            let fresh v = not (Fault.stale p ~at:u ~peer:v) in
-            let ranked =
-              Scheme.rank_peers (Network.ri net u) ~query:projected
-                ~keep:(fun v -> is_candidate v && fresh v)
-            in
-            let stale =
-              List.filter
-                (fun v -> is_candidate v && not (fresh v))
-                (List.sort compare (Scheme.peers (Network.ri net u)))
-            in
-            if stale = [] then ranked
-            else begin
-              let arr = Array.of_list stale in
-              Fault.shuffle p arr;
-              Fault.note_fallbacks p (Array.length arr);
-              ranked @ Array.to_list arr
-            end
-        | _ ->
-            Scheme.rank_peers (Network.ri net u) ~query:projected
-              ~keep:is_candidate)
-  in
-  (* Provenance capture.  Everything below [live] runs only when a
-     Decision sink is recording — in particular the per-candidate oracle
-     BFS, which costs O(edges) per decision and must never touch the
-     measured query path. *)
-  let live = Ri_obs.Decision.is_live decide in
-  let scheme_name =
-    match forwarding with
-    | Random_walk -> "none"
-    | Ri_guided -> (
-        match Network.scheme net with
-        | Some k -> Scheme.kind_name k
-        | None -> "none")
-  in
-  (* Oracle: matching documents actually reachable through candidate [v]
-     when deciding at [u] — BFS over live links with [u] removed (the
-     query would arrive via [u], so paths back through it are not [v]'s
-     to claim) and crash-stopped nodes impassable. *)
-  let truth_of u v =
-    match plan with
-    | Some p when Fault.is_dead p v || not (Fault.same_side p u v) -> 0
-    | _ ->
-        let seen = Bytes.make n '\000' in
-        Bytes.set seen u '\001';
-        Bytes.set seen v '\001';
-        let q = Queue.create () in
-        Queue.add v q;
-        let total = ref 0 in
-        while not (Queue.is_empty q) do
-          let x = Queue.pop q in
-          total := !total + Network.count_matching net x topics;
-          Array.iter
-            (fun y ->
-              if Bytes.get seen y = '\000' then begin
-                Bytes.set seen y '\001';
-                match plan with
-                | Some p when Fault.is_dead p y || not (Fault.same_side p x y)
-                  ->
-                    ()
-                | _ -> Queue.add y q
-              end)
-            (Network.neighbors net x)
-        done;
-        !total
-  in
-  let emit_decide u ~from order =
-    let ri_goodness v =
-      match forwarding with
-      | Ri_guided -> Scheme.goodness (Network.ri net u) ~peer:v ~query:projected
-      | Random_walk -> 0.
-    in
-    let stale_of v =
-      match plan with Some p -> Fault.stale p ~at:u ~peer:v | None -> false
-    in
-    let wave_of v =
-      if Network.has_ri net then Scheme.row_stamp (Network.ri net u) ~peer:v
-      else 0
-    in
-    let cands =
-      List.map
-        (fun v ->
-          {
-            Ri_obs.Decision.peer = v;
-            goodness = ri_goodness v;
-            truth = truth_of u v;
-            stale = stale_of v;
-            wave = wave_of v;
-          })
-        order
-    in
-    let oracle_best, oracle_rank, regret =
-      match cands with
-      | [] -> (-1, 0, 0)
-      | first :: _ ->
-          let _, bp, br, bt =
-            List.fold_left
-              (fun (i, bp, br, bt) (c : Ri_obs.Decision.candidate) ->
-                if c.truth > bt || (c.truth = bt && c.peer < bp) then
-                  (i + 1, c.peer, i, c.truth)
-                else (i + 1, bp, br, bt))
-              (0, -1, 0, min_int) cands
-          in
-          (bp, br, bt - first.Ri_obs.Decision.truth)
-    in
-    let stale_demoted =
-      match plan with
-      | Some p when Fault.fallback p ->
-          List.length (List.filter (fun c -> c.Ri_obs.Decision.stale) cands)
-      | _ -> 0
-    in
-    Ri_obs.Decision.emit decide
-      (Decide
-         {
-           node = u;
-           from;
-           scheme = scheme_name;
-           candidates = cands;
-           oracle_best;
-           oracle_rank;
-           regret;
-           stale_demoted;
-         })
-  in
-  (* Every frame opens through here so each decision point is recorded
-     exactly once, with the candidate list in true forwarding order. *)
-  let ordered u ~from =
-    let order = order_neighbors u ~from in
-    if live then emit_decide u ~from order;
-    order
-  in
-  (* Follow ranks (which candidate in forwarding order a frame tried)
-     live in a side table touched only when recording, so the frame
-     record — one allocation per visited node — stays at its
-     provenance-free size. *)
-  let ranks : (int, int) Hashtbl.t = Hashtbl.create (if live then 32 else 1) in
-  let next_rank u =
-    let r = try Hashtbl.find ranks u with Not_found -> 0 in
-    Hashtbl.replace ranks u (r + 1);
-    r
-  in
-  let budget = match plan with Some p -> Fault.query_budget p | None -> max_int in
-  let budget_stopped = ref false in
-  (* Link pairs already reconciled during this query; anti-entropy runs
-     once per link however many times the walk crosses it. *)
-  let reconciled : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let stack = ref [] in
-  let descend top v =
-    if Network.cycle_policy net = Network.Detect_recover && visited.(v) then begin
-      (* The revisited node detects the duplicate and bounces the
-         query straight back. *)
-      counters.query_returns <- counters.query_returns + 1;
-      on_event (Returned { sender = v; receiver = top.node });
-      if live then
-        Ri_obs.Decision.emit decide (Backtrack { node = v; target = top.node })
-    end
-    else begin
-      process_visit v;
-      if !remaining > 0 then
-        stack :=
-          { node = v; from = top.node; pending = ordered v ~from:top.node }
-          :: !stack
-    end
-  in
-  process_visit origin;
-  (if !remaining > 0 then
-     stack := [ { node = origin; from = -1; pending = ordered origin ~from:(-1) } ]);
-  while !stack <> [] && !remaining > 0 do
-    match !stack with
-    | [] -> ()
-    | top :: rest -> (
-        match top.pending with
-        | [] ->
-            (* Exhausted: return the query to whoever sent it. *)
-            stack := rest;
-            if top.from >= 0 then begin
-              counters.query_returns <- counters.query_returns + 1;
-              on_event (Returned { sender = top.node; receiver = top.from });
-              if live then
-                Ri_obs.Decision.emit decide
-                  (Backtrack { node = top.node; target = top.from })
-            end
-        | v :: pending -> (
-            top.pending <- pending;
-            match plan with
-            | None ->
-                Hashtbl.replace sent (top.node, v) (sends top.node v + 1);
-                counters.query_forwards <- counters.query_forwards + 1;
-                on_event (Forwarded { sender = top.node; receiver = v });
-                (if live then
-                   Ri_obs.Decision.emit decide
-                     (Follow { node = top.node; target = v; rank = next_rank top.node }));
-                descend top v
-            | Some p ->
-                if counters.query_forwards >= budget then begin
-                  if not !budget_stopped then begin
-                    budget_stopped := true;
-                    Fault.note_budget_stop p
-                  end;
-                  stack := []
-                end
-                else begin
-                  Hashtbl.replace sent (top.node, v) (sends top.node v + 1);
-                  (* Rank is claimed when forwarding begins, so a forward
-                     abandoned after its retries still consumes its slot. *)
-                  let rank = if live then next_rank top.node else 0 in
-                  (* Deliver with bounded retry: a crash-stopped receiver
-                     (or a flapping link) times out; each attempt is a
-                     real message and each timeout charges deterministic
-                     exponential backoff.  [retries] failures in a row
-                     and the sender presumes the neighbor dead. *)
-                  let delivered = ref false in
-                  let attempt = ref 0 in
-                  let exhausted = ref false in
-                  while (not !delivered) && not !exhausted do
-                    counters.query_forwards <- counters.query_forwards + 1;
-                    on_event (Forwarded { sender = top.node; receiver = v });
-                    let lost =
-                      (* A cross-cut forward can never land; like a dead
-                         receiver it consumes no flap draw. *)
-                      if Fault.is_dead p v || not (Fault.same_side p top.node v)
-                      then true
-                      else Fault.flap p
-                    in
-                    if not lost then delivered := true
-                    else begin
-                      Fault.note_timeout p ~attempt:!attempt;
-                      on_event
-                        (Timed_out
-                           { sender = top.node; receiver = v; attempt = !attempt });
-                      if live then
-                        Ri_obs.Decision.emit decide
-                          (Timeout
-                             { node = top.node; target = v; attempt = !attempt });
-                      incr attempt;
-                      if !attempt > Fault.retries p then exhausted := true
-                      else begin
-                        Fault.note_retry p;
-                        if counters.query_forwards >= budget then
-                          exhausted := true
-                      end
-                    end
-                  done;
-                  if !delivered then begin
-                    (* First contact after fault knowledge accrued on
-                       either side: lazy anti-entropy across this link
-                       before the query proceeds. *)
-                    (if
-                       Network.has_ri net
-                       && (Fault.dirty p top.node || Fault.dirty p v)
-                       && not
-                            (Hashtbl.mem reconciled
-                               (min top.node v, max top.node v))
-                     then begin
-                       Hashtbl.replace reconciled
-                         (min top.node v, max top.node v)
-                         ();
-                       Churn.reconcile net top.node v ~plan:p ~counters;
-                       on_event (Reconciled { a = top.node; b = v })
-                     end);
-                    if live then
-                      Ri_obs.Decision.emit decide
-                        (Follow { node = top.node; target = v; rank });
-                    descend top v
-                  end
-                  else if not (Fault.same_side p top.node v) then begin
-                    (* Unreachable across an active cut: the peer is
-                       suspected, not buried.  No death certificate —
-                       post-heal anti-entropy must find both nodes alive
-                       — but the row gets a gap mark so ranking demotes
-                       it until the link is reconciled. *)
-                    Fault.note_missed p ~at:top.node ~peer:v;
-                    on_event (Gave_up { sender = top.node; receiver = v })
-                  end
-                  else if not (Fault.knows_dead p ~at:top.node ~dead:v) then begin
-                    (* Presumed dead (possibly a false positive from
-                       flaps): remove the row so the garbage entry stops
-                       attracting the walk, and remember the certificate
-                       for gossip. *)
-                    ignore (Churn.detect_crash net top.node ~dead:v ~plan:p);
-                    on_event (Gave_up { sender = top.node; receiver = v })
-                  end
-                end))
-  done;
-  (if live then
-     let reason =
-       if !found >= query.Ri_content.Workload.stop then "satisfied"
-       else if !budget_stopped then "budget"
-       else "exhausted"
-     in
-     Ri_obs.Decision.emit decide
-       (Stop
-          {
-            reason;
-            found = !found;
-            forwards = counters.Message.query_forwards;
-            returns = counters.Message.query_returns;
-            visited = !nodes_visited;
-          }));
-  record_outcome
-    (match forwarding with Ri_guided -> m_ri_guided | Random_walk -> m_random_walk)
-    {
-      found = !found;
-      satisfied = !found >= query.Ri_content.Workload.stop;
-      nodes_visited = !nodes_visited;
-      counters;
-    }
-
 let run ?rng ?on_event ?decide ?plan net ~origin ~query ~forwarding =
-  match plan with
-  | Some plan ->
-      run_planned ?rng ?on_event ?decide ~plan net ~origin ~query ~forwarding
-  | None ->
-      (* Fault-free queries execute on the step machine — the same
-         machine the event engine drives — drained inline: exactly the
-         zero-latency schedule, which replays the synchronous walk
-         bit-for-bit (see {!Step}). *)
-      let t, first =
-        Step.start_for "Query.run" ?rng ?on_event ?decide net ~origin ~query
-          ~forwarding
-      in
-      let next = ref first in
-      let continue = ref true in
-      while !continue do
-        match !next with
-        | None -> continue := false
-        | Some s -> next := Step.deliver t s
-      done;
-      Step.finish t
+  (* Faulty or not, a query executes on the step machine — the same
+     machine the event engine drives — drained inline: exactly the
+     zero-latency schedule, which replays the synchronous walk
+     bit-for-bit (see {!Step}). *)
+  let t, first =
+    Step.start_for "Query.run" ?rng ?on_event ?decide ?plan net ~origin ~query
+      ~forwarding
+  in
+  let next = ref first in
+  let continue = ref true in
+  while !continue do
+    match !next with
+    | None -> continue := false
+    | Some s -> next := Step.deliver t s
+  done;
+  Step.finish t
 
 type parallel_outcome = {
   p_found : int;
@@ -863,15 +641,7 @@ let run_parallel ?(on_event = fun (_ : event) -> ()) net ~origin ~query ~branch 
     end
   in
   let rounds = expand [ (origin, -1) ] 0 in
-  if Ri_obs.Metrics.enabled () then begin
-    Ri_obs.Metrics.incr m_parallel;
-    Ri_obs.Metrics.add m_forwards counters.Message.query_forwards;
-    Ri_obs.Metrics.add m_results counters.Message.result_messages;
-    if satisfied () then Ri_obs.Metrics.incr m_satisfied;
-    Ri_obs.Sketch.observe s_messages
-      (float_of_int (Message.query_messages counters));
-    Ri_obs.Sketch.observe s_hops (float_of_int counters.Message.query_forwards)
-  end;
+  publish m_parallel ~satisfied:(satisfied ()) counters;
   {
     p_found = !found;
     p_satisfied = satisfied ();

@@ -84,24 +84,32 @@ val run :
     fresh rows, in random order — graceful degradation to No-RI ranking
     instead of trusting garbage counts.  [query_budget] caps total
     forwards.  Omitting [plan] is bit-for-bit the fault-free query.
+
+    Faulty or not, the query runs on the one {!Step} machine, drained
+    inline; under a plan the machine does each hop's retries and
+    anti-entropy at the sender before the forward is emitted.
     @raise Invalid_argument for [Ri_guided] on a No-RI network, an
     out-of-range origin, or a crash-stopped origin. *)
 
-(** The fault-free query as a message-driven state machine, for the
-    discrete-event engine ({!Ri_sim.Engine} drives one of these per
-    in-flight query).
+(** The query as a message-driven state machine: {!run} drains one
+    inline, and the discrete-event engine ({!Ri_sim.Engine}) drives one
+    per in-flight query.
 
     The sequential walk keeps exactly one message in flight — the
     forward it just sent, or the return bouncing it back — so
     {!deliver}ing that message yields at most one successor [send].
-    Draining the machine inline is the zero-latency schedule and
-    reproduces {!run} (without a fault plan) bit-for-bit: same events
-    in the same order, same counters, same outcome.  An engine instead
-    routes each [send] through its receiver's mailbox and the link
-    latency model; because fault-free queries never write network
-    state, interleaving thousands of machines leaves each one's
-    behavior — and its random stream, when given a private [rng] —
-    untouched. *)
+    Draining the machine inline is the zero-latency schedule, and that
+    is what {!run} does, with or without a fault plan: same events in
+    the same order, same counters, same outcome.  Under a plan, a hop's
+    timeouts, retries and lazy anti-entropy all happen at the sender
+    before the forward is emitted.
+
+    {!start} takes no plan, so the engine drives only fault-free
+    queries.  An engine routes each [send] through its receiver's
+    mailbox and the link latency model; because fault-free queries
+    never write network state, interleaving thousands of machines
+    leaves each one's behavior — and its random stream, when given a
+    private [rng] — untouched. *)
 module Step : sig
   type t
   (** One in-flight query: visited set, frame stack, counters. *)
